@@ -10,7 +10,14 @@ of ``--repeat`` runs), and compares against ``benchmarks/baseline.json``:
   for machines whose wall-clock numbers are known to be incomparable to
   the baseline's);
 * a *step-count* mismatch is always an error: steps are simulated and
-  must be bit-identical on every machine.
+  must be bit-identical on every machine;
+* interpreter calls per warp-step — Python calls into ``repro`` code,
+  counted by ``cProfile`` over one run — are as exact as the step count,
+  so a case that makes *more* calls than its recorded figure fails even
+  under ``--lenient``: it catches a fast path (e.g. spin parking)
+  silently switching off.  The gate only applies to the sequential issue
+  loops; with ``REPRO_SM_SHARDS`` set the worker threads' calls differ
+  and only step drift is checked.
 
 After an *intentional* perf change, refresh the committed baseline —
 that is the escape hatch for legitimate shifts — with::
@@ -27,7 +34,10 @@ against (``python -m repro db trajectory`` renders the history).
 """
 
 import argparse
+import cProfile
 import json
+import os
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -48,6 +58,7 @@ CASES = [
 
 
 def measure(workload, variant, repeat, gpu_overrides=None):
+    import repro
     from repro.harness import configs
     from repro.sched.explore import run_under_schedule
 
@@ -66,7 +77,24 @@ def measure(workload, variant, repeat, gpu_overrides=None):
         steps = outcome.steps
         rate = outcome.steps / elapsed
         best = rate if best is None else max(best, rate)
-    return {"steps": steps, "steps_per_sec": round(best, 1)}
+    # profiled after the timed runs, so lazy imports and caches are warm
+    # and the count is the same on every invocation
+    profile = cProfile.Profile()
+    profile.enable()
+    run_under_schedule(workload, params, variant, gpu_overrides=gpu_overrides)
+    profile.disable()
+    package = os.path.dirname(repro.__file__) + os.sep
+    calls = sum(
+        entry[1]
+        for (filename, _line, _name), entry in pstats.Stats(profile).stats.items()
+        if filename.startswith(package)
+    )
+    return {
+        "steps": steps,
+        "steps_per_sec": round(best, 1),
+        "calls": calls,
+        "calls_per_step": round(calls / steps, 2),
+    }
 
 
 def main(argv=None):
@@ -90,6 +118,8 @@ def main(argv=None):
                         help="append this measurement to the experiment "
                              "database's perf trajectory")
     args = parser.parse_args(argv)
+    from repro.gpu.config import GpuConfig
+    from repro.gpu.scheduler import resolve_sm_shards
 
     current = {
         case: measure(workload, variant, args.repeat, gpu_overrides)
@@ -100,8 +130,9 @@ def main(argv=None):
         from repro.common.fsio import atomic_write_json
 
         payload = {
-            "comment": "best-of-%d steps/sec per case at configs.test_workload_params "
-                       "geometry; refresh with --update" % args.repeat,
+            "comment": "best-of-%d steps/sec and exact repro calls per warp-step "
+                       "per case at configs.test_workload_params geometry; "
+                       "refresh with --update" % args.repeat,
             "benchmarks": current,
         }
         atomic_write_json(str(BASELINE_PATH), payload)
@@ -110,6 +141,9 @@ def main(argv=None):
 
     baseline = json.loads(BASELINE_PATH.read_text())["benchmarks"]
     status = 0
+    sharded = resolve_sm_shards(GpuConfig()) > 1
+    if sharded:
+        print("sharded issue loops: calls/step gate skipped, step drift checked")
     for case, now in sorted(current.items()):
         then = baseline.get(case)
         if then is None:
@@ -122,6 +156,12 @@ def main(argv=None):
                   % (case, then["steps"], now["steps"]))
             status = 1
             continue
+        if not sharded and "calls" in then:
+            verdict = "ok" if now["calls"] <= then["calls"] else "MORE CALLS"
+            print("%-20s %-11s %10.2f -> %10.2f calls/step"
+                  % (case, verdict, then["calls_per_step"], now["calls_per_step"]))
+            if now["calls"] > then["calls"]:
+                status = 1
         ratio = now["steps_per_sec"] / then["steps_per_sec"]
         delta = now["steps_per_sec"] - then["steps_per_sec"]
         verdict = "ok" if ratio >= 1.0 - args.threshold else "REGRESSION"

@@ -30,7 +30,6 @@ import types
 from repro.gpu.events import Phase
 from repro.stm.locklog import EncounterOrderLog
 from repro.stm.runtime.locksorting import LockSortingTx
-from repro.stm.versionlock import is_locked
 
 
 class Mutant:
@@ -161,12 +160,11 @@ def _read_ignore_staleness(self, addr):
     self.reads.append(tc, addr, value, Phase.BUFFERING)
     tc.fence(Phase.CONSISTENCY)
     yield
-    while True:
-        word = tc.gread_l2(runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY)
-        yield
-        if not is_locked(word):
-            break
-        runtime.stats.add("read_waits_on_lock")
+    _, waits = yield from tc.spin_until(
+        runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY, 1
+    )
+    if waits:
+        runtime.stats.add("read_waits_on_lock", waits)
     # BUG: the version-vs-snapshot staleness check (Algorithm 3 line 31)
     # is gone — a read of a stripe committed after our snapshot passes.
     self.locklog.insert(runtime.lock_table.index_of(addr), read=True)
@@ -302,12 +300,11 @@ def _read_skips_own_writes(self, addr):
     self.reads.append(tc, addr, value, Phase.BUFFERING)
     tc.fence(Phase.CONSISTENCY)
     yield
-    while True:
-        word = tc.gread_l2(runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY)
-        yield
-        if not is_locked(word):
-            break
-        runtime.stats.add("read_waits_on_lock")
+    word, waits = yield from tc.spin_until(
+        runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY, 1
+    )
+    if waits:
+        runtime.stats.add("read_waits_on_lock", waits)
     version = word >> 1
     if version > self.snapshot:
         if runtime.use_vbv:

@@ -268,6 +268,50 @@ class ThreadCtx:
         self.cycles_total += cycles
         return words[addr]
 
+    def spin_until(self, addr, phase, mask):
+        """Spin on an L2-cached metadata word while ``word & mask``.
+
+        The one spin primitive of the STM runtimes (lock words, the CGL
+        global lock, VBV's sequence lock): ``word, polls = yield from
+        tc.spin_until(addr, phase, mask)`` returns the first word with no
+        ``mask`` bit set and how many polls failed before it, with the same
+        operations, charges and step boundaries as :meth:`spin_loop`.
+
+        On this plain context a lane whose first poll fails *parks*: from
+        the next step on, :meth:`~repro.gpu.warp.Warp.step` re-reads the
+        word itself (:meth:`~repro.gpu.warp.Lane.poll`) instead of resuming
+        the lane's generator chain, and settles the polls' latency before
+        the generator resumes with the word that passed.  Contexts that
+        override :meth:`gread_l2` spin in :meth:`spin_loop` instead, so
+        every poll reaches their hook.
+        """
+        word = self.gread_l2(addr, phase)
+        yield
+        if not word & mask:
+            return word, 0
+        lane = self.warp.lanes[self.lane_id]
+        lane.park(addr, phase, mask, self.gread_l2(addr, phase))
+        yield
+        return lane.spin_word, lane.spin_polls
+
+    def spin_loop(self, addr, phase, mask):
+        """The generator form of :meth:`spin_until`: one resumption per poll."""
+        polls = 0
+        while True:
+            word = self.gread_l2(addr, phase)
+            yield
+            if not word & mask:
+                return word, polls
+            polls += 1
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a context that intercepts gread_l2 (telemetry timeline, fault
+        # injection, sanitizer, multi-GPU link accounting) must see every
+        # poll, so it never parks
+        if "gread_l2" in cls.__dict__ and "spin_until" not in cls.__dict__:
+            cls.spin_until = ThreadCtx.spin_loop
+
     def gwrite(self, addr, value, phase=Phase.NATIVE):
         """Global memory write."""
         words = self._words

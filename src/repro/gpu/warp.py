@@ -46,14 +46,103 @@ LOCKSTEP_PROTOCOL_HINT = (
 
 
 class Lane:
-    """One SIMT lane: a kernel generator plus its thread context."""
+    """One SIMT lane: a kernel generator plus its thread context.
 
-    __slots__ = ("gen", "tc", "done")
+    A lane spinning in :meth:`~repro.gpu.thread.ThreadCtx.spin_until` is
+    *parked*: ``spin_addr`` is set and the warp calls :meth:`poll` in place
+    of resuming the generator, until the word read in the previous step
+    has no ``spin_mask`` bit set.
+    """
 
-    def __init__(self, gen, tc):
+    __slots__ = (
+        "gen",
+        "tc",
+        "done",
+        "warp",
+        "slot",
+        "spin_addr",
+        "spin_mask",
+        "spin_phase",
+        "spin_word",
+        "spin_polls",
+        "spin_paid",
+        "words",
+    )
+
+    def __init__(self, gen, tc, warp):
         self.gen = gen
         self.tc = tc
         self.done = False
+        self.warp = warp
+        # index of this lane's entry in the warp's active list
+        self.slot = len(warp.active)
+        self.words = tc._words
+        self.spin_addr = None
+
+    def park(self, addr, phase, mask, word):
+        """Hand the spin loop to the warp after the lane's first failed
+        poll; ``word`` is this step's re-read, made and charged by the
+        generator itself."""
+        self.spin_addr = addr
+        self.spin_mask = mask
+        self.spin_phase = phase
+        self.spin_word = word
+        self.spin_polls = 1
+        self.spin_paid = 1
+        warp = self.warp
+        warp.parked += 1
+        warp.active[self.slot] = (self.poll, self)
+
+    def poll(self):
+        """One warp-step of a parked lane, called by :meth:`Warp.step` in
+        lane order in place of the generator's ``__next__``.
+
+        Tests the word read in the previous step.  While it is still held,
+        re-reads it and records the L2 read in the step's issue group
+        exactly as ``gread_l2`` does; the latency charge is deferred.
+        Once it passes, settles the deferred charges and resumes the
+        generator, which returns from ``spin_until`` in this same step.
+        """
+        if self.spin_word & self.spin_mask:
+            self.spin_polls += 1
+            addr = self.spin_addr
+            phase = self.spin_phase
+            warp = self.warp
+            warp.step_nops += 1
+            if _L2_READ is not warp.step_kind or phase is not warp.step_phase:
+                groups = warp.step_groups
+                tag = (_L2_READ, phase)
+                bucket = groups.get(tag)
+                if bucket is None:
+                    groups[tag] = bucket = [addr]
+                else:
+                    bucket.append(addr)
+                warp.step_kind = _L2_READ
+                warp.step_phase = phase
+                warp.step_cur = bucket
+            self.spin_word = self.words[addr]
+            return
+        if self.spin_polls != self.spin_paid:
+            self.settle()
+        self.spin_addr = None
+        warp = self.warp
+        warp.parked -= 1
+        resume = self.gen.__next__
+        warp.active[self.slot] = (resume, self)
+        resume()
+
+    def settle(self):
+        """Charge the polls made since the last settlement to the lane's
+        phase map, as if each had gone through ``gread_l2``."""
+        owed = self.spin_polls - self.spin_paid
+        if owed:
+            self.spin_paid = self.spin_polls
+            tc = self.tc
+            cycles = owed * tc._l2_read_latency
+            phase_map = tc._phase_map
+            phase = self.spin_phase
+            phase_map[phase] = phase_map.get(phase, 0) + cycles
+            tc.cycles_total += cycles
 
 
 class Warp:
@@ -88,6 +177,9 @@ class Warp:
         "reconv_gen",
         "shared",
         "steps",
+        "parked",
+        "spin_rep",
+        "spin_bulk",
         # cost-model constants hoisted at construction time
         "_strict",
         "_line_words",
@@ -99,6 +191,7 @@ class Warp:
         "_l2_read_cost",
         "_smem_cost",
         "_fence_cost",
+        "_spin_step_cost",
     )
 
     def __init__(self, warp_id, block, config):
@@ -120,6 +213,12 @@ class Warp:
         self.reconv_gen = 0
         self.shared = {}
         self.steps = 0
+        # spin parking: how many lanes are parked, and the whole-warp poll
+        # state (a representative lane and the polls taken since the warp
+        # started polling as one)
+        self.parked = 0
+        self.spin_rep = None
+        self.spin_bulk = 0
         costs = config.costs
         self._strict = config.strict_lockstep
         self._line_words = config.line_words
@@ -131,16 +230,19 @@ class Warp:
         self._l2_read_cost = costs.l2_read_cost
         self._smem_cost = costs.smem_cost
         self._fence_cost = costs.fence_cost
+        # the cost of a step whose only issue group is one L2 read
+        self._spin_step_cost = costs.issue_cost + costs.l2_read_cost
 
     def add_lane(self, gen, tc):
         """Register a lane; called by the device during launch."""
-        lane = Lane(gen, tc)
+        lane = Lane(gen, tc, self)
         self.lanes.append(lane)
         # the stepper iterates (resume, lane) pairs, where resume is the
-        # generator's bound __next__: unpacking plus a direct call is
-        # cheaper than per-lane attribute loads and the ``next`` builtin
-        # dispatch, and retired lanes are dropped from this list so
-        # long-lived divergent warps don't re-scan them
+        # generator's bound __next__ (a parked lane's poll while it spins):
+        # unpacking plus a direct call is cheaper than per-lane attribute
+        # loads and the ``next`` builtin dispatch, and retired lanes are
+        # dropped from this list so long-lived divergent warps don't
+        # re-scan them
         self.active.append((gen.__next__, lane))
         self.live += 1
 
@@ -159,7 +261,22 @@ class Warp:
         how many lanes retired, and the memory transactions it generated
         (returned directly so the scheduler's issue loop does not need an
         attribute load per step).
+
+        Parked lanes are polled in lane order instead of resumed.  When
+        every live lane is parked on the same word with the same mask and
+        phase, the step is a whole-warp poll: while the value they all
+        read last step is still held, every lane fails its test and
+        re-reads one word — one L2 issue group, no generator touched, no
+        lane charged until the warp disperses.
         """
+        rep = self.spin_rep
+        if rep is not None:
+            if rep.spin_word & rep.spin_mask:
+                self.spin_bulk += 1
+                rep.spin_word = rep.words[rep.spin_addr]
+                self.steps += 1
+                return self._spin_step_cost, 0, 0
+            self._spin_disperse()
         self.step_nops = 0
         # a None kind can never match a recorded kind, so resetting it alone
         # invalidates the cached (kind, phase, bucket) triple
@@ -210,7 +327,12 @@ class Warp:
                     % (lane.tc.lane_id, self.warp_id, ops, LOCKSTEP_PROTOCOL_HINT)
                 )
         if finished:
-            self.active = [entry for entry in self.active if not entry[1].done]
+            active = [entry for entry in self.active if not entry[1].done]
+            for slot, (_resume, lane) in enumerate(active):
+                lane.slot = slot
+            self.active = active
+        if self.parked == self.live and self.parked:
+            self._spin_try_uniform()
         if self.waiting:
             self._maybe_reconverge()
         self.steps += 1
@@ -247,6 +369,33 @@ class Warp:
         for tag, addrs in groups.items():
             cost += issue_cost + group_cost(tag[0], addrs)
         return cost, finished, self.step_mem_txns
+
+    def _spin_try_uniform(self):
+        """Enter whole-warp polling if every parked lane spins on the same
+        ``(addr, mask, phase)``.  They then also read the same word: each
+        read it this step, and no lane of a fully parked warp wrote."""
+        active = self.active
+        first = active[0][1]
+        addr = first.spin_addr
+        mask = first.spin_mask
+        phase = first.spin_phase
+        for _resume, lane in active:
+            if (lane.spin_addr != addr or lane.spin_mask != mask
+                    or lane.spin_phase is not phase):
+                return
+        self.spin_rep = first
+        self.spin_bulk = 0
+
+    def _spin_disperse(self):
+        """Leave whole-warp polling: credit every lane with the polls taken
+        as one and the last word read."""
+        rep = self.spin_rep
+        bulk = self.spin_bulk
+        word = rep.spin_word
+        self.spin_rep = None
+        for _resume, lane in self.active:
+            lane.spin_polls += bulk
+            lane.spin_word = word
 
     def _maybe_reconverge(self):
         """Release a reconvergence point once all live lanes reached it."""
@@ -311,7 +460,14 @@ class Warp:
 
     def lane_snapshot(self):
         """Struct-of-arrays view of this warp's per-lane state
-        (:class:`repro.gpu.soa.LaneArrays`), materialized on demand."""
+        (:class:`repro.gpu.soa.LaneArrays`), materialized on demand.
+        Parked lanes' deferred poll charges are settled first, so the
+        per-lane cycle columns are exact between steps."""
+        if self.spin_rep is not None:
+            self._spin_disperse()
+        for _resume, lane in self.active:
+            if lane.spin_addr is not None:
+                lane.settle()
         return LaneArrays(self)
 
 

@@ -437,43 +437,57 @@ def _run_pool(sup, pending, workers):
         )
 
         now = time.monotonic()
-        still_running = []
-        for record in running:
-            job = record["job"]
-            try:
-                has_result = record["conn"].poll()
-            except (OSError, ValueError):
-                has_result = False
-            if has_result:
-                try:
-                    result = record["conn"].recv()
-                except (EOFError, OSError):
-                    # died between poll() and recv(): treat as lost below
-                    has_result = False
-            if has_result:
-                _reap(sup, record, result, _failure_of(result), queue)
-                continue
-            if record["deadline"] is not None and now >= record["deadline"]:
-                record["proc"].kill()
-                record["proc"].join()
-                sup.count("timeouts.wall")
-                result, failure = _supervisor_timeout_result(
-                    job, "timeout",
-                    "exceeded wall_timeout=%.1fs; worker SIGKILLed"
-                    % sup.config.wall_timeout,
-                )
-                _reap(sup, record, result, failure, queue)
-                continue
-            if not record["proc"].is_alive():
-                exitcode = record["proc"].exitcode
-                result, failure = _supervisor_timeout_result(
-                    job, "worker-lost",
-                    "worker died without a result (exitcode %r)" % exitcode,
-                )
-                _reap(sup, record, result, failure, queue)
-                continue
-            still_running.append(record)
-        running = still_running
+        running = [record for record in running
+                   if _advance(sup, record, now, queue)]
+
+
+#: what :func:`_try_recv` returns when no result is waiting
+_NO_RESULT = object()
+
+
+def _try_recv(conn):
+    """The attempt's result if the worker has sent one, else ``_NO_RESULT``."""
+    try:
+        if conn.poll():
+            return conn.recv()
+    except (EOFError, OSError, ValueError):
+        # the pipe closed without a result (or between poll and recv)
+        pass
+    return _NO_RESULT
+
+
+def _advance(sup, record, now, queue):
+    """Reap one running attempt if it delivered, timed out or died;
+    returns True while it is still running."""
+    job = record["job"]
+    proc = record["proc"]
+    result = _try_recv(record["conn"])
+    if result is not _NO_RESULT:
+        failure = _failure_of(result)
+    elif record["deadline"] is not None and now >= record["deadline"]:
+        proc.kill()
+        proc.join()
+        sup.count("timeouts.wall")
+        result, failure = _supervisor_timeout_result(
+            job, "timeout",
+            "exceeded wall_timeout=%.1fs; worker SIGKILLed"
+            % sup.config.wall_timeout,
+        )
+    elif proc.is_alive():
+        return True
+    else:
+        # a worker that sent its result and exited after the poll above
+        # is dead by now but not lost: drain the pipe once more
+        result = _try_recv(record["conn"])
+        if result is not _NO_RESULT:
+            failure = _failure_of(result)
+        else:
+            result, failure = _supervisor_timeout_result(
+                job, "worker-lost",
+                "worker died without a result (exitcode %r)" % proc.exitcode,
+            )
+    _reap(sup, record, result, failure, queue)
+    return False
 
 
 def run_supervised(specs, jobs=None, config=None, journal=None, chaos=None,

@@ -59,7 +59,6 @@ class CglTx(TxThread):
         stats_add = runtime.stats.add
         stats_add("begins")
         lock_addr = runtime.lock_addr
-        gread_l2 = tc.gread_l2
         locks_phase = Phase.LOCKS
         # Spin-loop counters batch into locals and flush once after the
         # lock is acquired: same totals, no per-iteration counter traffic.
@@ -69,11 +68,8 @@ class CglTx(TxThread):
             # Test-and-test-and-set: spin on a plain read, CAS only when the
             # lock looks free (keeps the atomic unit from serializing every
             # spinning lane every cycle).
-            if gread_l2(lock_addr, locks_phase):
-                yield
-                spin_reads += 1
-                continue
-            yield
+            _, polls = yield from tc.spin_until(lock_addr, locks_phase, -1)
+            spin_reads += polls
             observed = tc.atomic_cas(lock_addr, 0, 1, locks_phase)
             yield
             if observed == 0:

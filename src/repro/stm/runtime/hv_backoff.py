@@ -84,6 +84,8 @@ class HvBackoffTx(LockSortingTx):
                     return (yield from self._abort("lock_contention"))
                 # Wait for the conflicting holder (a parallel-phase winner
                 # or a committer in another warp) to release.
-                yield from self._wait_lock_free(self._failed_lock)
+                yield from tc.spin_until(
+                    runtime.lock_table.lock_addr(self._failed_lock), Phase.LOCKS, 1
+                )
         finally:
             queue.pop(0)

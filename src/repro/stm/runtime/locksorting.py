@@ -193,21 +193,12 @@ class LockSortingTx(TxThread):
         self.reads.append(tc, addr, value, Phase.BUFFERING)
         tc.fence(Phase.CONSISTENCY)
         yield
-        # consistency checking (lines 27-33): wait out committing lockers,
-        # then compare the stripe version against the snapshot.  The lock
-        # address is loop-invariant and the wait counter batches into a
-        # local (flushed once): the spin body is the contended-read hot
-        # path.  ``word & 1`` is the inlined lock bit (versionlock.is_locked).
-        lock_addr = runtime.lock_table.lock_addr_for(addr)
-        gread_l2 = tc.gread_l2
-        consistency_phase = Phase.CONSISTENCY
-        waits = 0
-        while True:
-            word = gread_l2(lock_addr, consistency_phase)
-            yield
-            if not word & 1:
-                break
-            waits += 1
+        # consistency checking (lines 27-33): wait out committing lockers
+        # (mask 1 is the lock bit, versionlock.is_locked), then compare the
+        # stripe version against the snapshot.
+        word, waits = yield from tc.spin_until(
+            runtime.lock_table.lock_addr_for(addr), Phase.CONSISTENCY, 1
+        )
         if waits:
             runtime.stats.add("read_waits_on_lock", waits)
         version = word >> 1
@@ -282,18 +273,6 @@ class LockSortingTx(TxThread):
                 self.pass_tbv = False
         return True
 
-    def _wait_lock_free(self, lock_id):
-        """Spin until global lock ``lock_id`` is released.  Bounded: locks
-        are only held by committing transactions, which finish."""
-        gread_l2 = self.tc.gread_l2
-        lock_addr = self.runtime.lock_table.lock_addr(lock_id)
-        locks_phase = Phase.LOCKS
-        while True:
-            word = gread_l2(lock_addr, locks_phase)
-            yield
-            if not word & 1:  # inlined versionlock.is_locked
-                return
-
     def _acquire_phase(self):
         """Lock-acquisition strategy: sorted acquisition with bounded
         retries (livelock-free by the global lock order).  Returns True once
@@ -321,7 +300,9 @@ class LockSortingTx(TxThread):
             # Retry after the holder — typically a committing warp-mate —
             # finishes: locks are only held during commit, so the wait is
             # bounded.
-            yield from self._wait_lock_free(self._failed_lock)
+            yield from self.tc.spin_until(
+                runtime.lock_table.lock_addr(self._failed_lock), Phase.LOCKS, 1
+            )
 
     def _release_locks(self):
         """Release every held lock, restoring its pre-acquisition word

@@ -70,25 +70,12 @@ class VbvTx(TxThread):
         runtime.stats.add("begins")
         tc.local_op(Phase.INIT, count=3)
         # spin until the sequence is even (no writer mid-commit)
-        while True:
-            seq = tc.gread_l2(runtime.seq_addr, Phase.INIT)
-            yield
-            if seq & 1 == 0:
-                break
-            runtime.stats.add("begin_waits")
+        seq, waits = yield from tc.spin_until(runtime.seq_addr, Phase.INIT, 1)
+        if waits:
+            runtime.stats.add("begin_waits", waits)
         self.snapshot = seq
         tc.fence(Phase.INIT)
         yield
-
-    def _wait_even(self):
-        """Spin until the sequence word is even; return it."""
-        tc = self.tc
-        runtime = self.runtime
-        while True:
-            seq = tc.gread_l2(runtime.seq_addr, Phase.CONSISTENCY)
-            yield
-            if seq & 1 == 0:
-                return seq
 
     def _validate(self):
         """Value-based validation of the entire read-set (incremental
@@ -120,7 +107,7 @@ class VbvTx(TxThread):
             # The world moved: wait out any committer, revalidate, extend
             # the snapshot, and re-read.
             if seq & 1:
-                seq = yield from self._wait_even()
+                seq, _ = yield from tc.spin_until(runtime.seq_addr, Phase.CONSISTENCY, 1)
             consistent = yield from self._validate()
             consistent = self._filter_validation("read", consistent)
             if not consistent:
@@ -159,7 +146,7 @@ class VbvTx(TxThread):
             runtime.stats.add("seqlock_cas_failures")
             seq = observed
             if seq & 1:
-                seq = yield from self._wait_even()
+                seq, _ = yield from tc.spin_until(runtime.seq_addr, Phase.CONSISTENCY, 1)
             consistent = yield from self._validate()
             consistent = self._filter_validation("commit", consistent)
             if not consistent:

@@ -4,10 +4,13 @@ import pytest
 
 from repro.harness import configs
 from repro.harness.journal import SweepJournal, spec_fingerprint
-from repro.harness.parallel import JobSpec, run_jobs
+from repro.harness.parallel import JobResult, JobSpec, run_jobs
 from repro.harness.supervisor import (
     ChaosPlan,
     SupervisorConfig,
+    _advance,
+    _Job,
+    _Supervisor,
     run_supervised,
 )
 from repro.telemetry import MetricRegistry
@@ -333,3 +336,64 @@ class TestProcessMode:
         pooled = run_supervised(specs, jobs=2)
         assert [r.key for r in pooled] == [r.key for r in serial]
         assert [r.run.cycles for r in pooled] == [r.run.cycles for r in serial]
+
+
+class _FakeConn:
+    """A worker pipe whose ``poll()`` answers from a script."""
+
+    def __init__(self, polls, result=None):
+        self.polls = list(polls)
+        self.result = result
+        self.closed = False
+
+    def poll(self):
+        return self.polls.pop(0)
+
+    def recv(self):
+        return self.result
+
+    def close(self):
+        self.closed = True
+
+
+class _DeadProc:
+    exitcode = 0
+
+    def is_alive(self):
+        return False
+
+    def join(self):
+        pass
+
+
+class TestPoolReaping:
+    """The pool's per-attempt check, driven with a scripted pipe."""
+
+    def _advance(self, conn):
+        registry = MetricRegistry()
+        sup = _Supervisor(SupervisorConfig(max_retries=2), None, None, None,
+                          registry, _no_sleep)
+        sup.results = [None]
+        job = _Job(0, _ra_spec("job"), "0123abcd")
+        sup.start_attempt(job)
+        queue = []
+        record = {"job": job, "proc": _DeadProc(), "conn": conn, "deadline": None}
+        assert _advance(sup, record, 0.0, queue) is False
+        assert conn.closed
+        return sup, queue, _counters(registry)
+
+    def test_result_sent_just_before_exit_is_not_worker_lost(self):
+        """The worker sent its result and exited between the first poll and
+        the liveness check: the result is taken, not retried."""
+        result = JobResult("job")
+        sup, queue, counters = self._advance(_FakeConn([False, True], result))
+        assert sup.results == [result]
+        assert queue == []
+        assert counters["supervisor.jobs.succeeded"] == 1
+        assert "supervisor.failures.worker-lost" not in counters
+
+    def test_dead_worker_without_result_is_retried_as_worker_lost(self):
+        sup, queue, counters = self._advance(_FakeConn([False, False]))
+        assert sup.results == [None]
+        assert [job.index for job in queue] == [0]
+        assert "supervisor.jobs.succeeded" not in counters
