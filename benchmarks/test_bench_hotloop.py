@@ -9,21 +9,16 @@ core optimizes, so a regression in either shows up undiluted:
   issue, so the measured rate is almost pure scheduler + ``Warp.step``
   framing overhead); and
 * **coalescing cost** — the grouped fold over one warp-step's address
-  column (``Warp._group_cost`` and the tiered reductions in
+  column (``Warp._group_cost`` and the set/dict reductions in
   :mod:`repro.gpu.soa`).
 
-It also pins the scalar/NumPy crossover claim in the :mod:`repro.gpu.soa`
-docstring: at warp-sized inputs the scalar set/dict folds must beat (or at
-worst match) the NumPy tier — that is why :data:`~repro.gpu.soa.VECTOR_THRESHOLD`
-keeps warp-sized groups on the scalar tier.  Rates land in
-``benchmarks/results/hotloop.json`` for cross-PR diffing.
+Rates land in ``benchmarks/results/hotloop.json`` for cross-PR diffing.
 """
 
 import time
 
 from repro.gpu.config import GpuConfig
 from repro.gpu.scheduler import Device
-from repro.gpu import soa
 from benchmarks.conftest import save_artifact
 
 ROUNDS = 3
@@ -71,17 +66,6 @@ def _fold_rate(addrs, line_words=8, repeats=20000):
     return best
 
 
-def _tier_rate(fn, args, repeats=20000):
-    best = 0.0
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        for _ in range(repeats):
-            fn(*args)
-        elapsed = time.perf_counter() - started
-        best = max(best, repeats / elapsed)
-    return best
-
-
 class TestHotLoop:
     def test_issue_selection_rate(self, results_dir):
         rate, steps, cycles = _issue_rate()
@@ -99,32 +83,3 @@ class TestHotLoop:
         )
         save_artifact(results_dir, "hotloop", rendered, data=artifact)
         assert rate > 0
-
-    def test_scalar_tier_wins_at_warp_size(self):
-        """Pin the crossover claim: warp-sized folds stay scalar for a reason.
-
-        The soa docstring claims the scalar set fold beats the NumPy
-        round-trip at warp-sized inputs because list-to-ndarray conversion
-        dominates.  Allow generous noise margin (the scalar tier must be at
-        least *half* the NumPy rate — in practice it is several times
-        faster); what this really guards is an accidental
-        ``VECTOR_THRESHOLD`` drop that would put warp-sized groups on the
-        conversion-dominated path.
-        """
-        if not soa.have_numpy():
-            return  # stripped env: only the scalar tier exists
-        addrs = [(lane * 97 + 13) % 4096 for lane in range(32)]
-        scalar_rate = _tier_rate(soa.distinct_lines, (addrs, 8))
-        saved = soa.VECTOR_THRESHOLD
-        soa.VECTOR_THRESHOLD = 1
-        try:
-            vector_rate = _tier_rate(soa.distinct_lines, (addrs, 8))
-        finally:
-            soa.VECTOR_THRESHOLD = saved
-        assert scalar_rate >= 0.5 * vector_rate, (
-            "scalar fold rate %.0f/s fell far below NumPy tier %.0f/s at "
-            "warp size 32; revisit VECTOR_THRESHOLD" % (scalar_rate, vector_rate)
-        )
-        assert 32 < soa.VECTOR_THRESHOLD, (
-            "warp-sized groups must stay on the scalar tier"
-        )

@@ -5,7 +5,7 @@ number in a table is traceable back to the exact tree that produced it —
 the reproducibility discipline the experiment database exists for
 (ROADMAP: "every perf claim becomes a regenerable, hash-pinned
 artifact").  The snapshot is deliberately **hostname-free**: it names the
-git commit, the interpreter, package versions and the repo-relevant
+git commit, the interpreter and the repo-relevant
 environment knobs, but nothing that identifies the machine or user, so
 artifacts can be published as-is.
 """
@@ -49,22 +49,10 @@ def git_info(cwd=None):
     return {"sha": sha, "dirty": None if status is None else bool(status)}
 
 
-def package_versions():
-    """Versions of the packages that can change simulated results."""
-    versions = {}
-    try:
-        import numpy
-
-        versions["numpy"] = getattr(numpy, "__version__", None)
-    except Exception:  # noqa: BLE001 - numpy is optional (gated import)
-        versions["numpy"] = None
-    return versions
-
-
 def provenance_snapshot(cwd=None):
     """The full provenance record stored with every experiment-DB run.
 
-    Plain JSON-able data: git identity, interpreter + package versions, a
+    Plain JSON-able data: git identity, interpreter version, a
     coarse (hostname-free) platform summary, and the tracked environment
     variables that were set.
     """
@@ -74,7 +62,10 @@ def provenance_snapshot(cwd=None):
         "git": git_info(cwd=cwd),
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
-        "packages": package_versions(),
+        # third-party packages that can change simulated results: none,
+        # the simulator depends only on the standard library; the key
+        # stays so every recorded run has one provenance schema
+        "packages": {},
         "platform": {
             "system": platform.system(),
             "machine": platform.machine(),

@@ -412,8 +412,8 @@ class Warp:
 
         The address array is the struct-of-arrays half of the fold: a flat
         pending-address column per group, reduced in batch (all-same spin
-        probes short-circuit on two compares; wider arrays take the tiered
-        scalar/NumPy reductions in :mod:`repro.gpu.soa`).
+        probes short-circuit on two compares; wider arrays take the
+        set/dict reductions in :mod:`repro.gpu.soa`).
         """
         if kind is _L2_READ:
             # L2 hit: flat cost per instruction, no DRAM transaction

@@ -2,19 +2,18 @@
 
 Two layers of equivalence, both driven by Hypothesis:
 
-* the tiered reductions in :mod:`repro.gpu.soa` (scalar set/dict folds
-  below :data:`~repro.gpu.soa.VECTOR_THRESHOLD`, NumPy batch reductions
-  above it) must agree with each other and with an obviously-correct
-  naive implementation on random address arrays; and
+* the set/dict reductions in :mod:`repro.gpu.soa` must agree with an
+  obviously-correct naive implementation (pairwise counting over the
+  address list, no hashing tricks) on random address arrays; and
 * a full warp executing random per-lane programs — random lengths, so
   lanes retire at different steps and the active mask shrinks over the
   run — must charge exactly the cycles, warp steps and memory
   transactions that a straightforward per-step reference model predicts
   from the grouped cost rules.
 
-"Exactly" is the point: the vectorized core is only allowed to change
-*how* the fold is computed, never its value (the repo's determinism
-promise, pinned more coarsely by the golden-cycle fixtures).
+"Exactly" is the point: the SoA core is only allowed to change *how* the
+fold is computed, never its value (the repo's determinism promise, pinned
+more coarsely by the golden-cycle fixtures).
 """
 
 from hypothesis import given, settings
@@ -26,53 +25,39 @@ from repro.gpu.scheduler import Device
 
 
 # ----------------------------------------------------------------------
-# Tier equivalence of the batched reductions
+# Batched reductions vs naive references
 # ----------------------------------------------------------------------
 ADDRS = st.lists(st.integers(min_value=0, max_value=4095), min_size=1, max_size=200)
 
 
-def _both_tiers(fn, *args):
-    """Run ``fn`` through the scalar tier and (if present) the vector tier."""
-    scalar = fn(*args)
-    if not soa.have_numpy():
-        return scalar, scalar
-    saved = soa.VECTOR_THRESHOLD
-    soa.VECTOR_THRESHOLD = 1  # force every call onto the NumPy tier
-    try:
-        vector = fn(*args)
-    finally:
-        soa.VECTOR_THRESHOLD = saved
-    return scalar, vector
+def _naive_distinct(keys):
+    """Distinct-value count by first-occurrence scan (no set/dict)."""
+    return sum(1 for i, key in enumerate(keys) if key not in keys[:i])
+
+
+def _naive_max_count(keys):
+    return max(keys.count(key) for key in keys)
 
 
 @given(addrs=ADDRS, line_words=st.integers(min_value=1, max_value=64))
 @settings(deadline=None, max_examples=80)
-def test_distinct_lines_tiers_match_reference(addrs, line_words):
-    reference = len({addr // line_words for addr in addrs})
-    scalar, vector = _both_tiers(soa.distinct_lines, addrs, line_words)
-    assert scalar == vector == reference
+def test_distinct_lines_matches_reference(addrs, line_words):
+    reference = _naive_distinct([addr // line_words for addr in addrs])
+    assert soa.distinct_lines(addrs, line_words) == reference
 
 
 @given(addrs=ADDRS)
 @settings(deadline=None, max_examples=80)
-def test_max_multiplicity_tiers_match_reference(addrs):
-    counts = {}
-    for addr in addrs:
-        counts[addr] = counts.get(addr, 0) + 1
-    reference = (max(counts.values()), len(counts))
-    scalar, vector = _both_tiers(soa.max_multiplicity, addrs)
-    assert scalar == vector == reference
+def test_max_multiplicity_matches_reference(addrs):
+    reference = (_naive_max_count(addrs), _naive_distinct(addrs))
+    assert soa.max_multiplicity(addrs) == reference
 
 
 @given(addrs=ADDRS, banks=st.integers(min_value=1, max_value=64))
 @settings(deadline=None, max_examples=80)
-def test_max_bank_conflicts_tiers_match_reference(addrs, banks):
-    per_bank = {}
-    for addr in addrs:
-        per_bank[addr % banks] = per_bank.get(addr % banks, 0) + 1
-    reference = max(per_bank.values())
-    scalar, vector = _both_tiers(soa.max_bank_conflicts, addrs, banks)
-    assert scalar == vector == reference
+def test_max_bank_conflicts_matches_reference(addrs, banks):
+    reference = _naive_max_count([addr % banks for addr in addrs])
+    assert soa.max_bank_conflicts(addrs, banks) == reference
 
 
 # ----------------------------------------------------------------------
